@@ -1,7 +1,7 @@
 // Command starklint runs the Stark repo's custom static-analysis suite: the
 // determinism, purity, and plane-isolation contracts that the runtime
 // oracles (parallelism-1-vs-N byte equality, STARK_CHECK_COW, the chaos
-// harness, the bench_budget.json allocs/op gate) check dynamically,
+// harness, the TestAllocBudgets allocs/op gate) check dynamically,
 // enforced at build time instead.
 //
 // Usage:

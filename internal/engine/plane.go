@@ -255,8 +255,8 @@ func (px *planeCtx) dropCorrupt(checkpoint bool, a, b int, detail string) {
 }
 
 // postStep is the loop's event-boundary hook: it drains the deferred batch
-// unless fusion applies. With fusion on, the batch keeps accumulating while
-// the next pending event runs at the *same* virtual instant — a wave of
+// unless fusion applies. The batch keeps accumulating while the next
+// pending event runs at the *same* virtual instant — a wave of
 // task launches scheduled for one timestamp (a stage epoch) then executes as
 // one coarse batch on the worker pool instead of many per-event slivers.
 // Fusion is deterministic: the decision depends only on the event queue's
@@ -265,7 +265,7 @@ func (px *planeCtx) dropCorrupt(checkpoint bool, a, b int, detail string) {
 // before the clock advances (and drainBatch-at-join re-runs schedule at the
 // same instant), so no completion event is ever stranded.
 func (e *Engine) postStep() {
-	if e.fuse && len(e.batch) > 0 {
+	if len(e.batch) > 0 {
 		if at, ok := e.loop.NextAt(); ok && at == e.loop.Now() {
 			return
 		}

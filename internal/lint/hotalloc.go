@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// HotallocAnalyzer is the static twin of the bench_budget.json allocs/op
-// gate. Kernels annotated with //starklint:hotpath in their doc comment
-// (the PR-7 columnar path: GroupByKeySorted, JoinRecords, FromRecords,
-// PartitionStable, WriteMapOutputBatch, ReadReduce) and everything they
+// HotallocAnalyzer is the static twin of the internal/record
+// TestAllocBudgets allocs/op gate. Kernels annotated with
+// //starklint:hotpath in their doc comment (the columnar path:
+// GroupByKeySorted, JoinRecords, FromRecords, PartitionStable,
+// WriteMapOutputBatch, ReadReduce) and everything they
 // reach through the call graph must avoid allocation-inducing constructs:
 //
 //   - interface boxing at call sites (a concrete value passed to an

@@ -2,7 +2,7 @@
 // suite. It enforces at build time the determinism, purity, and
 // plane-isolation contracts that the engine's runtime oracles (the
 // parallelism-1-vs-N byte-equality tests, STARK_CHECK_COW fingerprinting,
-// the chaos harness, the bench_budget.json allocs/op gate) can only check
+// the chaos harness, the TestAllocBudgets allocs/op gate) can only check
 // after the fact: no wall-clock reads in deterministic packages, no global
 // math/rand state, no order-dependent iteration over maps in scheduling
 // paths, no mutation of copy-on-write record slices inside transform

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -50,33 +51,12 @@ func TestEmptyJob(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	ds := []time.Duration{4, 1, 3, 2, 5}
-	if p := Percentile(ds, 0); p != 1 {
-		t.Errorf("p0 = %v", p)
+func TestMax(t *testing.T) {
+	if got := Max([]time.Duration{2 * time.Second, 4 * time.Second, time.Second}); got != 4*time.Second {
+		t.Errorf("Max = %v", got)
 	}
-	if p := Percentile(ds, 100); p != 5 {
-		t.Errorf("p100 = %v", p)
-	}
-	if p := Percentile(ds, 50); p != 3 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Errorf("empty percentile = %v", p)
-	}
-	// Input must not be mutated.
-	if ds[0] != 4 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestMeanMaxMin(t *testing.T) {
-	ds := []time.Duration{2 * time.Second, 4 * time.Second}
-	if Mean(ds) != 3*time.Second || Max(ds) != 4*time.Second || Min(ds) != 2*time.Second {
-		t.Errorf("mean/max/min = %v/%v/%v", Mean(ds), Max(ds), Min(ds))
-	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
-		t.Error("empty aggregates nonzero")
+	if Max(nil) != 0 {
+		t.Error("empty Max nonzero")
 	}
 }
 
@@ -90,7 +70,6 @@ func TestLocalityString(t *testing.T) {
 }
 
 func TestEncodeJobsJSON(t *testing.T) {
-	var sb strings.Builder
 	jobs := []JobMetrics{{
 		JobID:    3,
 		Finished: time.Second,
@@ -98,10 +77,11 @@ func TestEncodeJobsJSON(t *testing.T) {
 			TaskID: 9, Locality: NodeLocal, Compute: time.Millisecond,
 		}},
 	}}
-	if err := EncodeJobs(&sb, jobs); err != nil {
+	raw, err := json.MarshalIndent(jobs, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	out := string(raw)
 	for _, want := range []string{`"job_id": 3`, `"task_id": 9`, `"NODE_LOCAL"`, `"compute_ns": 1000000`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("json missing %q:\n%s", want, out)

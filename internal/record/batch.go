@@ -45,53 +45,25 @@ func KeySum64(rs []Record) uint64 {
 	return h
 }
 
-// ColKind tags the typed value column a batch carries. A batch whose values
-// are uniformly int64 / float64 / string gets the matching typed column; any
-// other mix spills to the boxed []any column.
-type ColKind uint8
-
-const (
-	// ColSpill is the boxed fallback column for mixed or uncommon value
-	// types.
-	ColSpill ColKind = iota
-	// ColInt64 marks a uniform []int64 value column.
-	ColInt64
-	// ColFloat64 marks a uniform []float64 value column.
-	ColFloat64
-	// ColString marks a uniform []string value column.
-	ColString
-)
-
 // Batch is a columnar view of one partition's records: a contiguous
-// key-bytes slab with offsets, per-key FNV hashes computed in one amortized
-// pass, and a memoized byte size. The row form ([]Record) stays canonical —
-// a batch built by FromRecords adopts the row slice copy-on-write, so
-// Records() is zero-alloc and values are never re-boxed at API boundaries.
-// Typed value columns (int64/float64/string with a boxed spill) are derived
-// lazily for kernels that want them.
+// key-bytes slab with offsets and per-key FNV hashes computed in one
+// amortized pass. The row form ([]Record) stays canonical — a batch built by
+// FromRecords adopts the row slice copy-on-write, so Records() is zero-alloc
+// and values are never re-boxed at API boundaries.
 //
 // Batches follow the engine's COW contract: neither the adopted rows nor any
 // slice returned by a Batch method may be mutated once shared.
 type Batch struct {
-	keys string   // concatenated key bytes
-	offs []int32  // len n+1; key i is keys[offs[i]:offs[i+1]]
-	hash []uint32 // FNV-32a per key, matches partition.Hash.PartitionFor
-	recs []Record // canonical rows (nil only after WithoutRows, for tests)
-
-	bytes int64   // memoized SizeOfSlice equivalent
-	sizes []int64 // lazy per-record SizeOfRecord
-
-	kind     ColKind
-	colsDone bool
-	ints     []int64
-	floats   []float64
-	strs     []string
-	spill    []any
+	keys  string   // concatenated key bytes
+	offs  []int32  // len n+1; key i is keys[offs[i]:offs[i+1]]
+	hash  []uint32 // FNV-32a per key, matches partition.Hash.PartitionFor
+	recs  []Record // canonical rows
+	sizes []int64  // per-record SizeOfRecord, summed into Span.RawBytes
 }
 
 // FromRecords builds a batch over rs in one pass: key slab, offsets, FNV-32a
-// hashes, and the exact SizeOfSlice byte total. The row slice is adopted
-// (not copied) under the copy-on-write contract.
+// hashes, and per-record sizes. The row slice is adopted (not copied) under
+// the copy-on-write contract.
 //
 //starklint:hotpath
 func FromRecords(rs []Record) *Batch {
@@ -104,18 +76,15 @@ func FromRecords(rs []Record) *Batch {
 	sb.Grow(total)
 	offs := make([]int32, n+1)
 	hash := make([]uint32, n)
-	bytes := int64(sliceOverhead)
 	sizes := make([]int64, n)
 	for i := 0; i < n; i++ {
 		r := rs[i]
 		sb.WriteString(r.Key)
 		offs[i+1] = offs[i] + int32(len(r.Key))
 		hash[i] = fnv32aString(r.Key)
-		sz := recordOverhead + stringOverhead + int64(len(r.Key)) + SizeOf(r.Value)
-		sizes[i] = sz
-		bytes += sz
+		sizes[i] = recordOverhead + stringOverhead + int64(len(r.Key)) + SizeOf(r.Value)
 	}
-	return &Batch{keys: sb.String(), offs: offs, hash: hash, recs: rs, bytes: bytes, sizes: sizes}
+	return &Batch{keys: sb.String(), offs: offs, hash: hash, recs: rs, sizes: sizes}
 }
 
 // Len reports the number of records.
@@ -128,128 +97,8 @@ func (b *Batch) Key(i int) string { return b.keys[b.offs[i]:b.offs[i+1]] }
 // hashing the key through hash/fnv as partition.Hash does.
 func (b *Batch) Hash32(i int) uint32 { return b.hash[i] }
 
-// Bytes returns the memoized SizeOfSlice of the batch's rows. Shuffle and
-// cache accounting read this instead of re-walking the partition.
-func (b *Batch) Bytes() int64 { return b.bytes }
-
-// Sizes returns the per-record SizeOfRecord column.
-func (b *Batch) Sizes() []int64 { return b.sizes }
-
-// Records returns the canonical row view without copying or re-boxing. If
-// the rows were stripped (WithoutRows), they are rebuilt from the columns —
-// the only path that re-boxes values.
-func (b *Batch) Records() []Record {
-	if b.recs != nil || b.Len() == 0 {
-		return b.recs
-	}
-	n := b.Len()
-	rs := make([]Record, n)
-	for i := 0; i < n; i++ {
-		rs[i].Key = b.Key(i)
-		switch b.kind {
-		case ColInt64:
-			rs[i].Value = b.ints[i]
-		case ColFloat64:
-			rs[i].Value = b.floats[i]
-		case ColString:
-			rs[i].Value = b.strs[i]
-		default:
-			rs[i].Value = b.spill[i]
-		}
-	}
-	b.recs = rs
-	return rs
-}
-
-// ToRecords is Records under the name the round-trip property uses:
-// FromRecords(ToRecords(b)) must be identical to b observably (keys, hashes,
-// bytes, fingerprint).
-func (b *Batch) ToRecords() []Record { return b.Records() }
-
-// Columnize derives the typed value column (or the boxed spill column) from
-// the rows and reports the batch's column kind. It is lazy and memoized;
-// kernels that can exploit unboxed values call it, everything else never
-// pays for it.
-func (b *Batch) Columnize() ColKind {
-	if b.colsDone {
-		return b.kind
-	}
-	b.colsDone = true
-	rs := b.Records()
-	n := len(rs)
-	if n == 0 {
-		b.kind = ColSpill
-		return b.kind
-	}
-	switch rs[0].Value.(type) {
-	case int64:
-		col := make([]int64, n)
-		for i, r := range rs {
-			v, ok := r.Value.(int64)
-			if !ok {
-				b.spillColumn(rs)
-				return b.kind
-			}
-			col[i] = v
-		}
-		b.kind, b.ints = ColInt64, col
-	case float64:
-		col := make([]float64, n)
-		for i, r := range rs {
-			v, ok := r.Value.(float64)
-			if !ok {
-				b.spillColumn(rs)
-				return b.kind
-			}
-			col[i] = v
-		}
-		b.kind, b.floats = ColFloat64, col
-	case string:
-		col := make([]string, n)
-		for i, r := range rs {
-			v, ok := r.Value.(string)
-			if !ok {
-				b.spillColumn(rs)
-				return b.kind
-			}
-			col[i] = v
-		}
-		b.kind, b.strs = ColString, col
-	default:
-		b.spillColumn(rs)
-	}
-	return b.kind
-}
-
-func (b *Batch) spillColumn(rs []Record) {
-	col := make([]any, len(rs))
-	for i, r := range rs {
-		col[i] = r.Value
-	}
-	b.kind, b.spill = ColSpill, col
-}
-
-// Int64s returns the typed column after Columnize reported ColInt64.
-func (b *Batch) Int64s() []int64 { return b.ints }
-
-// Float64s returns the typed column after Columnize reported ColFloat64.
-func (b *Batch) Float64s() []float64 { return b.floats }
-
-// Strings returns the typed column after Columnize reported ColString.
-func (b *Batch) Strings() []string { return b.strs }
-
-// SpillValues returns the boxed column after Columnize reported ColSpill.
-func (b *Batch) SpillValues() []any { return b.spill }
-
-// WithoutRows returns a copy of the batch with the row view dropped, forcing
-// Records() down the column-materialization path. Tests use it to exercise
-// re-boxing; the engine never does.
-func (b *Batch) WithoutRows() *Batch {
-	b.Columnize()
-	cp := *b
-	cp.recs = nil
-	return &cp
-}
+// Records returns the canonical row view without copying or re-boxing.
+func (b *Batch) Records() []Record { return b.recs }
 
 // KeySumRange computes the storage block checksum of rows [lo, hi) straight
 // off the key slab — bit-identical to KeySum64(rows[lo:hi]) with zero
@@ -265,23 +114,6 @@ func (b *Batch) KeySumRange(lo, hi int) uint64 {
 	cnt := uint64(hi - lo)
 	for i := 0; i < 8; i++ {
 		h = (h ^ (cnt >> (8 * i) & 0xff)) * fnvPrime64
-	}
-	return h
-}
-
-// Fingerprint hashes the batch's observable shape off the slab, bit-exact
-// with Fingerprint over its rows.
-func (b *Batch) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	n := b.Len()
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(n>>(8*i)))) * fnvPrime64
-	}
-	for i := 0; i < n; i++ {
-		for j := b.offs[i]; j < b.offs[i+1]; j++ {
-			h = (h ^ uint64(b.keys[j])) * fnvPrime64
-		}
-		h = (h ^ 0) * fnvPrime64
 	}
 	return h
 }
@@ -386,7 +218,6 @@ func (b *Batch) reorderSpans(idx, perm []int32, occupied int) *PartitionedBatch 
 	var sb strings.Builder
 	sb.Grow(len(b.keys))
 	spans := make([]Span, 0, occupied)
-	bytes := int64(sliceOverhead)
 	for j := 0; j < n; j++ {
 		i := perm[j]
 		out[j] = rs[i]
@@ -395,7 +226,6 @@ func (b *Batch) reorderSpans(idx, perm []int32, occupied int) *PartitionedBatch 
 		hash[j] = b.hash[i]
 		sz := b.sizes[i]
 		sizes[j] = sz
-		bytes += sz
 		p := int(idx[i])
 		if len(spans) == 0 || spans[len(spans)-1].Part != p {
 			spans = append(spans, Span{Part: p, Lo: int32(j)})
@@ -404,6 +234,6 @@ func (b *Batch) reorderSpans(idx, perm []int32, occupied int) *PartitionedBatch 
 		sp.Hi = int32(j + 1)
 		sp.RawBytes += sz
 	}
-	ordered := &Batch{keys: sb.String(), offs: offs, hash: hash, recs: out, bytes: bytes, sizes: sizes}
+	ordered := &Batch{keys: sb.String(), offs: offs, hash: hash, recs: out, sizes: sizes}
 	return &PartitionedBatch{Batch: ordered, Spans: spans}
 }

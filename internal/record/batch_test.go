@@ -11,8 +11,8 @@ import (
 	"stark/internal/record"
 )
 
-// corpora the round-trip properties run over: typed columns, the any spill
-// column, empty and single-key partitions.
+// corpora the round-trip properties run over: uniform and mixed value types,
+// binary keys, empty and single-key partitions.
 func batchCorpora() map[string][]record.Record {
 	mixed := []record.Record{
 		{Key: "a", Value: int64(1)},
@@ -62,20 +62,18 @@ func TestBatchRoundTripIdentity(t *testing.T) {
 			if b.Len() != len(rs) {
 				t.Fatalf("Len = %d, want %d", b.Len(), len(rs))
 			}
-			back := b.ToRecords()
-			if !reflect.DeepEqual(back, rs) {
-				t.Fatalf("ToRecords mismatch:\n got %v\nwant %v", back, rs)
+			if back := b.Records(); !reflect.DeepEqual(back, rs) {
+				t.Fatalf("Records mismatch:\n got %v\nwant %v", back, rs)
 			}
-			b2 := record.FromRecords(b.ToRecords())
-			if !reflect.DeepEqual(b2.ToRecords(), rs) {
-				t.Fatalf("FromRecords(ToRecords(b)) not identity")
+			b2 := record.FromRecords(b.Records())
+			if !reflect.DeepEqual(b2.Records(), rs) {
+				t.Fatalf("FromRecords(Records(b)) not identity")
 			}
-			if got, want := b2.Fingerprint(), record.Fingerprint(rs); got != want {
-				t.Fatalf("round-trip fingerprint changed: %#x != %#x", got, want)
-			}
-			if b2.Bytes() != b.Bytes() || b2.Bytes() != record.SizeOfSlice(rs) {
-				t.Fatalf("round-trip bytes changed: %d / %d / %d",
-					b2.Bytes(), b.Bytes(), record.SizeOfSlice(rs))
+			for i := range rs {
+				if b2.Key(i) != b.Key(i) || b2.Hash32(i) != b.Hash32(i) {
+					t.Fatalf("round-trip changed key %d: %q/%#x != %q/%#x",
+						i, b2.Key(i), b2.Hash32(i), b.Key(i), b.Hash32(i))
+				}
 			}
 		})
 	}
@@ -85,12 +83,6 @@ func TestBatchMatchesRowPaths(t *testing.T) {
 	for name, rs := range batchCorpora() {
 		t.Run(name, func(t *testing.T) {
 			b := record.FromRecords(rs)
-			if got, want := b.Fingerprint(), record.Fingerprint(rs); got != want {
-				t.Fatalf("batch fingerprint %#x != row fingerprint %#x", got, want)
-			}
-			if got, want := b.Bytes(), record.SizeOfSlice(rs); got != want {
-				t.Fatalf("batch bytes %d != SizeOfSlice %d", got, want)
-			}
 			for i, r := range rs {
 				if b.Key(i) != r.Key {
 					t.Fatalf("Key(%d) = %q, want %q", i, b.Key(i), r.Key)
@@ -99,9 +91,6 @@ func TestBatchMatchesRowPaths(t *testing.T) {
 				f.Write([]byte(r.Key))
 				if b.Hash32(i) != f.Sum32() {
 					t.Fatalf("Hash32(%d) diverges from hash/fnv", i)
-				}
-				if b.Sizes()[i] != record.SizeOfRecord(r) {
-					t.Fatalf("Sizes()[%d] = %d, want %d", i, b.Sizes()[i], record.SizeOfRecord(r))
 				}
 			}
 			// KeySumRange over every sub-range matches the per-record checksum.
@@ -113,35 +102,6 @@ func TestBatchMatchesRowPaths(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestBatchColumnKinds(t *testing.T) {
-	c := batchCorpora()
-	want := map[string]record.ColKind{
-		"mixed-spill": record.ColSpill,
-		"int64":       record.ColInt64,
-		"float64":     record.ColFloat64,
-		"string":      record.ColString,
-		"empty":       record.ColSpill,
-		"single-key":  record.ColInt64,
-		"big":         record.ColInt64,
-	}
-	for name, rs := range c {
-		b := record.FromRecords(rs)
-		if got := b.Columnize(); got != want[name] {
-			t.Fatalf("%s: Columnize = %d, want %d", name, got, want[name])
-		}
-		// Rebuilding rows from columns (the spill/re-box path) must still
-		// round-trip and keep the fingerprint.
-		nb := b.WithoutRows()
-		if !reflect.DeepEqual(nb.Records(), rs) {
-			t.Fatalf("%s: column-materialized rows differ", name)
-		}
-		b3 := record.FromRecords(nb.ToRecords())
-		if got, wantFP := b3.Fingerprint(), record.Fingerprint(rs); got != wantFP {
-			t.Fatalf("%s: fingerprint changed through column round-trip", name)
-		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // columnar path: partition each map output into a span-view batch, commit it
 // with WriteMapOutputBatch (slab-range checksums), then read every reduce
 // partition back through ReadReduce (slab-range verify, exact-size concat).
-// allocs/op is the headline number — see BENCH_4.json's shuffle-rw micro for
-// the comparison against the replaced per-record path.
+// allocs/op is the headline number; the record package's TestAllocBudgets
+// holds the ceiling of the same round trip without the Store.
 func BenchmarkShuffleReadWrite(b *testing.B) {
 	const maps, reduces, perMap = 8, 16, 2500
 	p := partition.NewHash(reduces)

@@ -2,10 +2,30 @@ package storage
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"stark/internal/record"
 )
+
+// mapOutput builds the partitioned batch WriteMapOutputBatch commits from
+// per-reduce rows and the bytes charged for each bucket. An entry with no
+// rows still yields an (empty) bucket, as a bytes-only map output.
+func mapOutput(buckets map[int]Bucket) *record.PartitionedBatch {
+	parts := make([]int, 0, len(buckets))
+	for r := range buckets {
+		parts = append(parts, r)
+	}
+	sort.Ints(parts)
+	var rows []record.Record
+	spans := make([]record.Span, 0, len(parts))
+	for _, r := range parts {
+		lo := int32(len(rows))
+		rows = append(rows, buckets[r].Data...)
+		spans = append(spans, record.Span{Part: r, Lo: lo, Hi: int32(len(rows)), Bytes: buckets[r].Bytes})
+	}
+	return &record.PartitionedBatch{Batch: record.FromRecords(rows), Spans: spans}
+}
 
 func TestShuffleLifecycle(t *testing.T) {
 	s := NewStore()
@@ -24,18 +44,18 @@ func TestShuffleLifecycle(t *testing.T) {
 	if got := s.MissingMapOutputs(1); len(got) != 2 {
 		t.Fatalf("missing = %v", got)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{
+	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int]Bucket{
 		0: {Data: []record.Record{record.Pair("a", 1)}, Bytes: 10},
 		2: {Data: []record.Record{record.Pair("c", 1)}, Bytes: 20},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.ReadReduce(1, 0); err == nil {
 		t.Fatal("read from incomplete shuffle succeeded")
 	}
-	if err := s.WriteMapOutput(1, 1, map[int]Bucket{
+	if err := s.WriteMapOutputBatch(1, 1, mapOutput(map[int]Bucket{
 		0: {Data: []record.Record{record.Pair("a2", 1)}, Bytes: 5},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if !s.ShuffleComplete(1) {
@@ -57,7 +77,7 @@ func TestShuffleLifecycle(t *testing.T) {
 
 func TestShuffleValidation(t *testing.T) {
 	s := NewStore()
-	if err := s.WriteMapOutput(9, 0, nil); err == nil {
+	if err := s.WriteMapOutputBatch(9, 0, mapOutput(nil)); err == nil {
 		t.Fatal("write to unknown shuffle accepted")
 	}
 	if _, _, err := s.ReadReduce(9, 0); err == nil {
@@ -66,10 +86,10 @@ func TestShuffleValidation(t *testing.T) {
 	if err := s.RegisterShuffle(2, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(2, 5, nil); err == nil {
+	if err := s.WriteMapOutputBatch(2, 5, mapOutput(nil)); err == nil {
 		t.Fatal("out-of-range map partition accepted")
 	}
-	if err := s.WriteMapOutput(2, 0, map[int]Bucket{7: {}}); err == nil {
+	if err := s.WriteMapOutputBatch(2, 0, mapOutput(map[int]Bucket{7: {}})); err == nil {
 		t.Fatal("out-of-range reduce partition accepted")
 	}
 }
@@ -79,10 +99,10 @@ func TestMapOutputOverwrite(t *testing.T) {
 	if err := s.RegisterShuffle(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{0: {Bytes: 10}}); err != nil {
+	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int]Bucket{0: {Bytes: 10}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{0: {Bytes: 30}}); err != nil {
+	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int]Bucket{0: {Bytes: 30}})); err != nil {
 		t.Fatal(err)
 	}
 	_, bytes, err := s.ReadReduce(1, 0)
@@ -128,10 +148,10 @@ func TestCorruptMapOutputDetectedAndHealedByOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	write := func(mapPart int) {
-		if err := s.WriteMapOutput(1, mapPart, map[int]Bucket{
+		if err := s.WriteMapOutputBatch(1, mapPart, mapOutput(map[int]Bucket{
 			0: {Data: []record.Record{record.Pair("a", mapPart)}, Bytes: 10},
 			1: {Data: []record.Record{record.Pair("b", mapPart)}, Bytes: 10},
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +211,7 @@ func TestDropShuffle(t *testing.T) {
 	if err := s.RegisterShuffle(1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteMapOutput(1, 0, map[int]Bucket{0: {Bytes: 1}}); err != nil {
+	if err := s.WriteMapOutputBatch(1, 0, mapOutput(map[int]Bucket{0: {Bytes: 1}})); err != nil {
 		t.Fatal(err)
 	}
 	s.DropShuffle(1)
