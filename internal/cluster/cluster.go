@@ -73,6 +73,9 @@ type Cluster struct {
 	Cfg       config.Cluster
 	executors []*Executor
 	directory map[BlockID]map[int]bool
+	// observer, when set, hears every replica entering (added) or leaving
+	// the directory; see SetObserver.
+	observer func(exec int, id BlockID, added bool)
 }
 
 // New builds a cluster per the configuration.
@@ -152,9 +155,23 @@ func (c *Cluster) CachePutChecked(exec int, id BlockID, data []record.Record, by
 			locs = make(map[int]bool)
 			c.directory[id] = locs
 		}
-		locs[exec] = true
+		if !locs[exec] {
+			locs[exec] = true
+			if c.observer != nil {
+				c.observer(exec, id, true)
+			}
+		}
 	}
 	return evicted, st
+}
+
+// SetObserver installs fn to hear every change of the block directory: a
+// replica entering it (a fresh put) or leaving it (eviction, DropBlock,
+// Kill). Re-puts of a block already cached on the executor are silent.
+// Those two points are the only places the directory changes, so an index
+// kept by deltas from fn never drifts from the stores. nil removes it.
+func (c *Cluster) SetObserver(fn func(exec int, id BlockID, added bool)) {
+	c.observer = fn
 }
 
 // SetPolicy installs an eviction policy on every executor's store (shared
@@ -240,11 +257,16 @@ func (c *Cluster) DropBlock(exec int, id BlockID) {
 }
 
 func (c *Cluster) dropLocation(id BlockID, exec int) {
-	if locs, ok := c.directory[id]; ok {
-		delete(locs, exec)
-		if len(locs) == 0 {
-			delete(c.directory, id)
-		}
+	locs, ok := c.directory[id]
+	if !ok || !locs[exec] {
+		return
+	}
+	delete(locs, exec)
+	if len(locs) == 0 {
+		delete(c.directory, id)
+	}
+	if c.observer != nil {
+		c.observer(exec, id, false)
 	}
 }
 
@@ -316,23 +338,4 @@ func (c *Cluster) CheckConsistency() error {
 		}
 	}
 	return nil
-}
-
-// UniqueRDDsCached reports how many distinct RDDs have at least one block in
-// the executor's cache; the MCF scheduler uses a namespace-aware variant via
-// the provided key function: blocks mapping to the same key count once, and
-// blocks with key "" are ignored.
-func (c *Cluster) UniqueKeysCached(exec int, keyOf func(BlockID) string) int {
-	e := c.executors[exec]
-	if e.dead {
-		return 0
-	}
-	seen := make(map[string]bool)
-	for _, id := range e.Store.Blocks() {
-		k := keyOf(id)
-		if k != "" {
-			seen[k] = true
-		}
-	}
-	return len(seen)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -214,19 +215,55 @@ func TestSlotAccounting(t *testing.T) {
 	}()
 }
 
-func TestUniqueKeysCached(t *testing.T) {
-	c := newTestCluster()
-	c.CachePut(0, BlockID{1, 0}, nil, 10)
-	c.CachePut(0, BlockID{2, 0}, nil, 10)
-	c.CachePut(0, BlockID{3, 5}, nil, 10)
-	n := c.UniqueKeysCached(0, func(id BlockID) string {
-		if id.RDD == 3 {
-			return "" // not in any namespace
+// TestObserverTracksDirectory replays the observer's deltas into a replica
+// set and checks it against every store after random puts (with evictions
+// and re-puts), drops, kills and restarts.
+func TestObserverTracksDirectory(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		c := newTestCluster()
+		type replica struct {
+			exec int
+			id   BlockID
 		}
-		return "ns/0" // both map to collection partition 0
-	})
-	if n != 1 {
-		t.Fatalf("unique keys = %d, want 1", n)
+		seen := make(map[replica]bool)
+		c.SetObserver(func(exec int, id BlockID, added bool) {
+			r := replica{exec, id}
+			if seen[r] == added {
+				t.Fatalf("seed %d: duplicate delta %v added=%v", seed, r, added)
+			}
+			if added {
+				seen[r] = true
+			} else {
+				delete(seen, r)
+			}
+		})
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; step < 300; step++ {
+			exec := rng.Intn(c.NumExecutors())
+			id := BlockID{rng.Intn(5), rng.Intn(4)}
+			switch k := rng.Intn(10); {
+			case k < 6:
+				c.CachePut(exec, id, nil, int64(50+rng.Intn(300)))
+			case k < 8:
+				c.DropBlock(exec, id)
+			case k == 8:
+				c.Kill(exec)
+			default:
+				c.Restart(exec)
+			}
+			n := 0
+			for _, e := range c.Executors() {
+				for _, b := range e.Store.Blocks() {
+					if !seen[replica{e.ID, b}] {
+						t.Fatalf("seed %d step %d: %v on %d missing from deltas", seed, step, b, e.ID)
+					}
+					n++
+				}
+			}
+			if n != len(seen) {
+				t.Fatalf("seed %d step %d: deltas hold %d replicas, stores %d", seed, step, len(seen), n)
+			}
+		}
 	}
 }
 

@@ -196,6 +196,7 @@ func (e *Engine) CrashDriver(tearTail int) {
 	e.grp = group.NewManager(e.cfg.Groups)
 	e.nsRDDs = make(map[string][]*rdd.RDD)
 	e.nsParts = make(map[string]int)
+	e.mcf.dirty = true // unitOf now resolves nothing
 	e.streamSteps = make(map[string]map[int]int)
 	e.detectorArmed = false
 	if e.dagPol != nil {
@@ -303,6 +304,7 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 			if _, _, err := e.grp.ReplaySplit(rec.S, int(rec.A)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: split %q/%d: %v", rec.S, rec.A, err))
 			}
+			e.mcf.dirty = true // blocks moved between units
 			if err := e.loc.ApplySplit(rec.S, int(rec.A), int(rec.B), int(rec.C), int(rec.D)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: split locality %q/%d: %v", rec.S, rec.A, err))
 			}
@@ -313,6 +315,7 @@ func (e *Engine) replayJournal(recs []journal.Record, journaledMap map[[2]int]bo
 			if _, err := e.grp.ReplayMerge(rec.S, int(rec.A)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: merge %q/%d: %v", rec.S, rec.A, err))
 			}
+			e.mcf.dirty = true // blocks moved between units
 			if err := e.loc.ApplyMerge(rec.S, int(rec.A), int(rec.B), int(rec.C)); err != nil {
 				panic(fmt.Sprintf("engine: journal replay: merge locality %q/%d: %v", rec.S, rec.A, err))
 			}
@@ -513,5 +516,6 @@ func (e *Engine) registerNamespace(ns string, p partition.Partitioner, initialGr
 		return err
 	}
 	e.nsParts[ns] = numParts
+	e.mcf.dirty = true // the namespace's cached blocks now map to units
 	return nil
 }

@@ -159,6 +159,9 @@ type Engine struct {
 	nsRDDs map[string][]*rdd.RDD
 	// nsGeometry remembers per-namespace partition counts.
 	nsParts map[string]int
+	// mcf is the per-executor collection-unit index behind MCF and
+	// unitCachedOn (mcf.go), kept current by cluster directory deltas.
+	mcf mcfIndex
 
 	jobSeq  int
 	taskSeq int
@@ -315,6 +318,8 @@ func New(cfg Config) *Engine {
 		rng:            rand.New(rand.NewSource(seed)),
 	}
 	e.installCachePolicy()
+	e.mcf.refs = make([]map[unitID]int32, e.cl.NumExecutors())
+	e.cl.SetObserver(e.noteReplica)
 	e.par = cfg.Execution.Parallelism
 	if e.par <= 0 {
 		e.par = runtime.GOMAXPROCS(0)

@@ -532,10 +532,11 @@ func TestMCFPrefersLeastContended(t *testing.T) {
 	if len(offers) == 0 {
 		t.Fatal("no offers")
 	}
-	// Offers must be sorted ascending by unique units cached.
+	// Offers must be sorted ascending by unique units cached, as counted
+	// by the index's rescan oracle.
 	prev := -1
 	for _, id := range offers {
-		n := e.Cluster().UniqueKeysCached(id, e.unitKey)
+		n := len(e.rescanUnits(id))
 		if n < prev {
 			t.Fatalf("offers not sorted by contention: %v", offers)
 		}

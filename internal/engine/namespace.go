@@ -87,6 +87,9 @@ func (e *Engine) ReportRDD(r *rdd.RDD) ([]group.Change, error) {
 		return nil, err
 	}
 	changes, err := e.grp.Rebalance(ns)
+	if len(changes) > 0 {
+		e.mcf.dirty = true // blocks moved between units
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -161,20 +164,6 @@ func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
 		e.loc.RemoveReplica(ns, unit, exec)
 		e.repl.Dropped(replication.UnitKey{Namespace: ns, Unit: unit})
 	}
-}
-
-// unitCachedOn reports whether any RDD of the namespace still has a block
-// of the unit cached on the executor.
-func (e *Engine) unitCachedOn(ns string, unit, exec int) bool {
-	parts := e.unitPartitions(ns, unit)
-	for _, r := range e.nsRDDs[ns] {
-		for _, p := range parts {
-			if e.cl.CacheHas(exec, cluster.BlockID{RDD: r.ID, Partition: p}) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // unitPartitions expands a unit to its partition list.

@@ -251,7 +251,7 @@ func (e *Engine) remoteOffers() []int {
 		type off struct{ id, units int }
 		scored := make([]off, len(offers))
 		for i, id := range offers {
-			scored[i] = off{id: id, units: e.cl.UniqueKeysCached(id, e.unitKey)}
+			scored[i] = off{id: id, units: len(e.unitRefs(id))}
 		}
 		sort.SliceStable(scored, func(a, b int) bool {
 			if scored[a].units != scored[b].units {
@@ -266,38 +266,6 @@ func (e *Engine) remoteOffers() []int {
 	}
 	e.rng.Shuffle(len(offers), func(i, j int) { offers[i], offers[j] = offers[j], offers[i] })
 	return offers
-}
-
-// unitKey renders a block's collection unit for MCF counting; "" for blocks
-// outside any namespace.
-func (e *Engine) unitKey(id cluster.BlockID) string {
-	ns, unit, ok := e.unitOf(id)
-	if !ok {
-		return ""
-	}
-	return ns + "/" + itoa(unit)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // launch assigns a task to an executor: the slot is reserved driver-side,
