@@ -9,12 +9,13 @@ import (
 // HotallocAnalyzer is the static twin of the internal/record
 // TestAllocBudgets allocs/op gate. Kernels annotated with
 // //starklint:hotpath in their doc comment (the columnar path:
-// GroupByKeySorted, JoinRecords, FromRecords, PartitionStable,
-// WriteMapOutputBatch, ReadReduce) and everything they
+// GroupByKeySorted, CoGroupRecords, JoinRecords, FromRecords,
+// PartitionStable, WriteMapOutputBatch, ReadReduce) and everything they
 // reach through the call graph must avoid allocation-inducing constructs:
 //
 //   - interface boxing at call sites (a concrete value passed to an
-//     interface parameter escapes to the heap);
+//     interface parameter escapes to the heap) and in struct literals (a
+//     concrete value stored in an interface-typed field);
 //   - per-call map/slice composite literals and make(map)/make(chan);
 //   - append growth from a nil/empty slice (no pre-sized capacity);
 //   - fmt.Sprintf/Sprint/Sprintln and non-constant string concatenation.
@@ -66,6 +67,8 @@ func checkHotBody(p *ModulePass, n *Node) {
 				if len(x.Elts) > 0 {
 					p.Reportf(x.Pos(), "per-call slice literal allocates on the hot path; hoist it or reuse scratch state")
 				}
+			case *types.Struct:
+				checkHotFields(p, info, x)
 			}
 		case *ast.CallExpr:
 			checkHotCall(p, info, x)
@@ -152,15 +155,54 @@ func checkHotCall(p *ModulePass, info *types.Info, call *ast.CallExpr) {
 		if !types.IsInterface(pt.Underlying()) {
 			continue
 		}
-		at := info.TypeOf(arg)
-		if at == nil || types.IsInterface(at.Underlying()) {
+		if boxes(info, arg) {
+			p.Reportf(arg.Pos(), "passing %s boxes a %s into an interface on the hot path; use a concrete-typed helper", exprString(arg), info.TypeOf(arg).String())
+		}
+	}
+}
+
+// checkHotFields flags interface boxing in a struct literal: a concrete
+// value stored in an interface-typed field escapes to the heap exactly as a
+// boxed call argument does.
+func checkHotFields(p *ModulePass, info *types.Info, lit *ast.CompositeLit) {
+	st, ok := info.TypeOf(lit).Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, elt := range lit.Elts {
+		var ft types.Type
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			key, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			if f, ok := info.Uses[key].(*types.Var); ok {
+				ft = f.Type()
+			}
+			elt = kv.Value
+		} else if i < st.NumFields() {
+			ft = st.Field(i).Type()
+		}
+		if ft == nil || !types.IsInterface(ft.Underlying()) {
 			continue
 		}
-		if b, ok := at.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
-			continue // untyped nil / constants
+		if boxes(info, elt) {
+			p.Reportf(elt.Pos(), "storing %s in an interface field boxes a %s on the hot path; use a concrete-typed field", exprString(elt), info.TypeOf(elt).String())
 		}
-		p.Reportf(arg.Pos(), "passing %s boxes a %s into an interface on the hot path; use a concrete-typed helper", exprString(arg), at.String())
 	}
+}
+
+// boxes reports whether converting e to an interface allocates a box: e
+// has a concrete, typed (non-constant-nil) type.
+func boxes(info *types.Info, e ast.Expr) bool {
+	at := info.TypeOf(e)
+	if at == nil || types.IsInterface(at.Underlying()) {
+		return false
+	}
+	if b, ok := at.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
+		return false // untyped nil / constants
+	}
+	return true
 }
 
 // checkHotAppend flags `x = append(x, ...)` where x was declared as a nil

@@ -9,6 +9,11 @@ type row struct {
 	val string
 }
 
+// boxed carries an interface-typed field, like record.Record's Value.
+type boxed struct {
+	v any
+}
+
 func sink(v any) {}
 
 func sinkConcrete(v int64) {}

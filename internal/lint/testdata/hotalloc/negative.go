@@ -32,3 +32,15 @@ func sizedHot(rows []row) []int64 {
 	_ = len(buf)
 	return keys
 }
+
+// passHot moves already-boxed values between interface fields: no new box.
+//
+//starklint:hotpath
+func passHot(in []boxed) []boxed {
+	out := make([]boxed, len(in))
+	for i := range in {
+		out[i] = boxed{v: in[i].v}
+	}
+	out = append(out, boxed{v: nil})
+	return out
+}

@@ -46,3 +46,15 @@ func helper(n int) []int {
 
 //starklint:hotpath
 func reachHot(n int) []int { return helper(n) }
+
+// boxHot stores concrete values in an interface field: each boxes.
+//
+//starklint:hotpath
+func boxHot(rows []row) []boxed {
+	out := make([]boxed, len(rows))
+	for i, r := range rows {
+		out[i] = boxed{v: r.key} // want hotalloc
+		out[i] = boxed{r.val}    // want hotalloc
+	}
+	return out
+}

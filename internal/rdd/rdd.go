@@ -368,7 +368,6 @@ func (g *Graph) CoGroup(name string, p partition.Partitioner, parents ...*RDD) *
 	if len(parents) == 0 {
 		panic("rdd: CoGroup needs at least one parent")
 	}
-	n := len(parents)
 	return g.add(&RDD{
 		Name:        name,
 		Parts:       p.NumPartitions(),
@@ -377,24 +376,7 @@ func (g *Graph) CoGroup(name string, p partition.Partitioner, parents ...*RDD) *
 		Deps:        g.coGroupDeps(p, parents),
 		Namespace:   sharedNamespace(parents),
 		Transform: func(_ int, inputs [][]record.Record) []record.Record {
-			grouped := make(map[string]*record.CoGrouped)
-			var order []string
-			for pi := 0; pi < n; pi++ {
-				for _, rec := range inputs[pi] {
-					cg, ok := grouped[rec.Key]
-					if !ok {
-						cg = &record.CoGrouped{Groups: make([][]any, n)}
-						grouped[rec.Key] = cg
-						order = append(order, rec.Key)
-					}
-					cg.Groups[pi] = append(cg.Groups[pi], rec.Value)
-				}
-			}
-			out := make([]record.Record, 0, len(order))
-			for _, k := range order {
-				out = append(out, record.Record{Key: k, Value: *grouped[k]})
-			}
-			return out
+			return record.CoGroupRecords(inputs)
 		},
 		CostFactor: 2.0,
 	})

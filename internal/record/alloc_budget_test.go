@@ -34,6 +34,7 @@ func TestAllocBudgets(t *testing.T) {
 		{"shuffle-bucketing", 16, bucketBudget(&sink, &scr)},
 		{"shuffle-rw", 160, shuffleRWBudget(&sink, &scr)},
 		{"join", 56000, joinBudget(&sink)},
+		{"cogroup", 7300, coGroupBudget(&sink)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,5 +148,15 @@ func joinBudget(sink *int) func() {
 	right := budgetRecords(8000, 1200)
 	return func() {
 		*sink += len(record.JoinRecords(left, right))
+	}
+}
+
+// coGroupBudget is the rdd.CoGroup body in churn's shape: CoGroupRecords
+// over 3 parents of 6k records drawn from 8,192 host keys. Beyond a fixed
+// handful of slices it allocates one CoGrouped box per distinct key.
+func coGroupBudget(sink *int) func() {
+	inputs := record.CoGroupBenchInputs(3, 6000, 8192)
+	return func() {
+		*sink += len(record.CoGroupRecords(inputs))
 	}
 }

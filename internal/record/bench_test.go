@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -13,17 +14,20 @@ func benchData(n, keys int) []Record {
 	return rs
 }
 
-func BenchmarkGroupByKey(b *testing.B) {
-	data := benchData(20000, 1500)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m, keys := GroupByKey(data)
-		for _, k := range keys {
-			if len(m[k]) == 0 {
-				b.Fatal("empty group")
-			}
+// CoGroupBenchInputs builds churn's cogroup shape: parents datasets of
+// perParent records each, keys drawn from one shared space of keys hosts.
+// It is exported for the external allocation-budget test.
+func CoGroupBenchInputs(parents, perParent, keys int) [][]Record {
+	inputs := make([][]Record, parents)
+	for p := range inputs {
+		rng := rand.New(rand.NewSource(int64(p + 1)))
+		rs := make([]Record, perParent)
+		for i := range rs {
+			rs[i] = Pair(fmt.Sprintf("host-%05d", rng.Intn(keys)), int64(i))
 		}
+		inputs[p] = rs
 	}
+	return inputs
 }
 
 func BenchmarkGroupByKeySorted(b *testing.B) {
@@ -34,6 +38,17 @@ func BenchmarkGroupByKeySorted(b *testing.B) {
 			if len(g.Values) == 0 {
 				b.Fatal("empty group")
 			}
+		}
+	}
+}
+
+func BenchmarkCoGroupRecords(b *testing.B) {
+	inputs := CoGroupBenchInputs(3, 6000, 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(CoGroupRecords(inputs)) == 0 {
+			b.Fatal("empty cogroup")
 		}
 	}
 }

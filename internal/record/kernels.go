@@ -19,12 +19,11 @@ type groupScratch struct {
 var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // GroupByKeySorted groups a record slice by key and returns the groups in
-// ascending key order. It is the allocation-lean replacement for GroupByKey
-// on hot paths: keys are FNV-hashed once into an open-addressing table of
-// arena-backed int32 slots (no map, no per-key allocation), group sizes are
-// counted in the same pass, and every group's Values are carved out of one
-// shared backing array — a partition groups in a handful of allocations
-// regardless of key count. Consumers must treat Values as read-only
+// ascending key order. Keys are FNV-hashed once into an open-addressing
+// table of arena-backed int32 slots (no map, no per-key allocation), group
+// sizes are counted in the same pass, and every group's Values are carved
+// out of one shared backing array — a partition groups in a handful of
+// allocations regardless of key count. Consumers must treat Values as read-only
 // (appending to one group would clobber its neighbor), which the engine's
 // purity contract already demands.
 //
@@ -97,6 +96,122 @@ func GroupByKeySorted(rs []Record) []Grouped {
 	return groups
 }
 
+// CoGroupRecords groups several parents' records by key into CoGrouped
+// values: one output record per distinct key, keys in first-seen order
+// across the parents (parent 0 first), each carrying len(inputs) per-parent
+// value slices with values in input order and a nil slice for a parent that
+// lacks the key. With no input records it returns a non-nil empty slice.
+// This is exactly the output of the map-based loop rdd.CoGroup used to run,
+// so sizes and virtual times do not move.
+//
+// Like GroupByKeySorted, keys are FNV-hashed once into an arena-backed
+// open-addressing table; a second pass counts records per (group, parent)
+// and a third scatters every value into one shared backing array. Every
+// group's Groups header is carved from one shared [][]any and every
+// per-parent slice is capacity-capped, so a call allocates the output, the
+// two backing arrays and one CoGrouped box per key. Consumers must treat
+// Groups as read-only; the caps make an append copy instead of clobbering a
+// neighbor.
+//
+//starklint:hotpath
+func CoGroupRecords(inputs [][]Record) []Record {
+	np := len(inputs)
+	n := 0
+	for _, in := range inputs {
+		n += len(in)
+	}
+	if n == 0 {
+		return []Record{}
+	}
+	sc := groupScratchPool.Get().(*groupScratch)
+	tsize := 1
+	for tsize < 2*n {
+		tsize <<= 1
+	}
+	mask := uint32(tsize - 1)
+	table := sc.i32.Take(tsize) // 0 = empty, else group id + 1
+	gidOf := sc.i32.Take(n)     // per record, in flat parent-major order
+	firstPar := sc.i32.Take(n)  // per group: parent and index of its first record
+	firstIdx := sc.i32.Take(n)
+	ghash := sc.u32.Take(n)
+	ngroups := int32(0)
+	flat := 0
+	for p, in := range inputs {
+		for i := range in {
+			key := in[i].Key
+			h := fnv32aString(key)
+			slot := h & mask
+			for {
+				g := table[slot]
+				if g == 0 {
+					table[slot] = ngroups + 1
+					firstPar[ngroups] = int32(p)
+					firstIdx[ngroups] = int32(i)
+					ghash[ngroups] = h
+					gidOf[flat] = ngroups
+					ngroups++
+					break
+				}
+				if ghash[g-1] == h && inputs[firstPar[g-1]][firstIdx[g-1]].Key == key {
+					gidOf[flat] = g - 1
+					break
+				}
+				slot = (slot + 1) & mask
+			}
+			flat++
+		}
+	}
+	// cells are (group, parent) pairs in group-major order; their counts
+	// become start offsets into the shared values backing.
+	cells := int(ngroups) * np
+	counts := sc.i32.Take(cells)
+	flat = 0
+	for p, in := range inputs {
+		for range in {
+			counts[int(gidOf[flat])*np+p]++
+			flat++
+		}
+	}
+	starts := sc.i32.Take(cells)
+	var off int32
+	for c := 0; c < cells; c++ {
+		starts[c] = off
+		off += counts[c]
+	}
+	backing := make([]any, n)
+	cursor := sc.i32.Take(cells)
+	flat = 0
+	for p, in := range inputs {
+		for i := range in {
+			c := int(gidOf[flat])*np + p
+			backing[starts[c]+cursor[c]] = in[i].Value
+			cursor[c]++
+			flat++
+		}
+	}
+	headers := make([][]any, cells)
+	out := make([]Record, ngroups)
+	for g := 0; g < int(ngroups); g++ {
+		hdr := headers[g*np : (g+1)*np : (g+1)*np]
+		for p := range hdr {
+			c := g*np + p
+			if k := counts[c]; k > 0 {
+				hdr[p] = backing[starts[c] : starts[c]+k : starts[c]+k]
+			}
+		}
+		out[g] = Record{
+			Key: inputs[firstPar[g]][firstIdx[g]].Key,
+			//starklint:ignore hotalloc one CoGrouped box per key is inherent: Record.Value is an any and consumers type-assert the CoGrouped value, as JoinRecords does for Joined
+			Value: CoGrouped{Groups: hdr},
+		}
+	}
+	sc.i32.Reset()
+	sc.u32.Reset()
+	//starklint:ignore hotalloc sync.Pool.Put takes any but *groupScratch is a pointer, so the conversion stores the pointer in the interface word without allocating
+	groupScratchPool.Put(sc)
+	return out
+}
+
 // JoinRecords computes the inner join of two record slices: for every key
 // present on both sides, the cross-product of left and right values as
 // Joined pairs, keys ascending, left then right values in input order — the
@@ -135,6 +250,7 @@ func JoinRecords(left, right []Record) []Record {
 		default:
 			for _, lv := range lg[i].Values {
 				for _, rv := range rg[j].Values {
+					//starklint:ignore hotalloc one Joined box per output pair is inherent: Record.Value is an any and consumers type-assert the Joined value
 					out = append(out, Record{Key: lg[i].Key, Value: Joined{Left: lv, Right: rv}})
 				}
 			}

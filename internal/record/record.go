@@ -8,7 +8,6 @@ package record
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -23,8 +22,9 @@ type Record struct {
 func Pair(key string, value any) Record { return Record{Key: key, Value: value} }
 
 // CoGrouped is the value type produced by CoGroup: one value slice per
-// parent dataset, in parent order. A key missing from parent i has an empty
-// Groups[i].
+// parent dataset, in parent order. A key missing from parent i has a nil
+// Groups[i]. The slices may share one backing array, so consumers treat
+// them as read-only.
 type CoGrouped struct {
 	Groups [][]any
 }
@@ -66,11 +66,7 @@ func SizeOf(v any) int64 {
 	case []byte:
 		return sliceOverhead + int64(len(x))
 	case []any:
-		s := int64(sliceOverhead)
-		for _, e := range x {
-			s += 8 + SizeOf(e)
-		}
-		return s
+		return sizeOfAnys(x)
 	case []string:
 		s := int64(sliceOverhead)
 		for _, e := range x {
@@ -84,8 +80,7 @@ func SizeOf(v any) int64 {
 	case CoGrouped:
 		s := int64(sliceOverhead)
 		for _, g := range x.Groups {
-			//starklint:ignore hotalloc SizeOf's any parameter is the data model — values arrive boxed from Record.Value, so re-boxing the group header here is inherent, not avoidable
-			s += SizeOf(g)
+			s += sizeOfAnys(g)
 		}
 		return s
 	case Joined:
@@ -103,6 +98,16 @@ func SizeOf(v any) int64 {
 	}
 }
 
+// sizeOfAnys is SizeOf's []any arm, callable on a group slice without
+// boxing its header into an any.
+func sizeOfAnys(x []any) int64 {
+	s := int64(sliceOverhead)
+	for _, e := range x {
+		s += 8 + SizeOf(e)
+	}
+	return s
+}
+
 // SizeOfRecord estimates the footprint of a full record.
 func SizeOfRecord(r Record) int64 {
 	return recordOverhead + stringOverhead + int64(len(r.Key)) + SizeOf(r.Value)
@@ -115,22 +120,6 @@ func SizeOfSlice(rs []Record) int64 {
 		s += SizeOfRecord(r)
 	}
 	return s
-}
-
-// GroupByKey groups a record slice into key -> values preserving first-seen
-// key order of iteration via the returned sorted keys. It is a helper for
-// reduce and cogroup implementations.
-func GroupByKey(rs []Record) (map[string][]any, []string) {
-	m := make(map[string][]any, len(rs))
-	var keys []string
-	for _, r := range rs {
-		if _, ok := m[r.Key]; !ok {
-			keys = append(keys, r.Key)
-		}
-		m[r.Key] = append(m[r.Key], r.Value)
-	}
-	sort.Strings(keys)
-	return m, keys
 }
 
 // Grouped is one key with its accumulated values, produced by

@@ -40,6 +40,24 @@ func TestSizeOfComposites(t *testing.T) {
 	}
 }
 
+// TestSizeOfCoGroupedSumsGroups pins the CoGrouped arm to the per-group
+// []any sizes (nil groups included) and checks it sizes a boxed value
+// without allocating.
+func TestSizeOfCoGroupedSumsGroups(t *testing.T) {
+	groups := [][]any{{int64(1), "ab"}, nil, {}, {[]byte{1}}}
+	var v any = CoGrouped{Groups: groups}
+	want := int64(sliceOverhead)
+	for _, g := range groups {
+		want += SizeOf(g)
+	}
+	if got := SizeOf(v); got != want {
+		t.Fatalf("SizeOf(CoGrouped) = %d, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = SizeOf(v) }); allocs != 0 {
+		t.Fatalf("SizeOf(CoGrouped) allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestSizeMonotoneInStringLength(t *testing.T) {
 	f := func(a, b string) bool {
 		if len(a) > len(b) {
