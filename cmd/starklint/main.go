@@ -23,7 +23,6 @@
 //
 //	planetaint  — no transitive control-plane mutation from data-plane
 //	              roots (runPlane, planeCtx methods, hotpath kernels)
-//	              outside the px.immediate guard
 //	hotalloc    — no allocation-inducing constructs reachable from
 //	              //starklint:hotpath kernels (boxing, per-call maps,
 //	              empty-slice append growth, Sprintf/concatenation)

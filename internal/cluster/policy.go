@@ -76,9 +76,15 @@ func (lruPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 // the driver crashes (the restarted driver re-charges on resubmission).
 type DAGPolicy struct {
 	refs map[int]int
-	// groupOf maps a block to its collection partition-group key; ok=false
-	// means ungrouped. Nil until the engine installs it.
-	groupOf func(id BlockID) (string, bool)
+	// groupOf maps a block to its collection unit (namespace, unit id);
+	// ok=false means ungrouped. Nil until the engine installs it.
+	groupOf func(id BlockID) (ns string, unit int, ok bool)
+}
+
+// groupKey identifies one peer group: a collection unit.
+type groupKey struct {
+	ns   string
+	unit int
 }
 
 // NewDAGPolicy returns a DAG-aware policy with an empty reference table.
@@ -90,7 +96,7 @@ func (p *DAGPolicy) Name() string { return "dag" }
 
 // SetGroupFn installs the block → peer-group mapping (the engine's
 // namespace unit lookup). Pass nil to treat every block as ungrouped.
-func (p *DAGPolicy) SetGroupFn(fn func(id BlockID) (string, bool)) { p.groupOf = fn }
+func (p *DAGPolicy) SetGroupFn(fn func(id BlockID) (ns string, unit int, ok bool)) { p.groupOf = fn }
 
 // Charge adds n remaining consumers to an RDD's reference count.
 func (p *DAGPolicy) Charge(rdd, n int) {
@@ -119,11 +125,12 @@ func (p *DAGPolicy) Refs(rdd int) int { return p.refs[rdd] }
 // journal replay re-charges as jobs resubmit.
 func (p *DAGPolicy) ResetRefs() { p.refs = make(map[int]int) }
 
-func (p *DAGPolicy) keyOf(id BlockID) (string, bool) {
+func (p *DAGPolicy) keyOf(id BlockID) (groupKey, bool) {
 	if p.groupOf == nil {
-		return "", false
+		return groupKey{}, false
 	}
-	return p.groupOf(id)
+	ns, unit, ok := p.groupOf(id)
+	return groupKey{ns, unit}, ok
 }
 
 func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
@@ -136,8 +143,8 @@ func (p *DAGPolicy) Plan(s *BlockStore, need int64, keep BlockID) EvictionPlan {
 	// still referenced (pinned) — including the incoming keep block's
 	// group, whose peers must survive the put for the cache to stay
 	// effective.
-	groupPinned := make(map[string]bool)
-	pinnedOf := func(key string) bool {
+	groupPinned := make(map[groupKey]bool)
+	pinnedOf := func(key groupKey) bool {
 		pinned, ok := groupPinned[key]
 		if ok {
 			return pinned

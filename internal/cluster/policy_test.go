@@ -82,16 +82,16 @@ func TestBlockStoreShrinkCapacity(t *testing.T) {
 	}
 }
 
-// groupFn maps blocks to peer groups for tests: rdds 10..19 → group "g1",
-// 20..29 → "g2", everything else ungrouped.
-func groupFn(id BlockID) (string, bool) {
+// groupFn maps blocks to peer groups for tests: rdds 10..19 → unit g/1,
+// 20..29 → unit g/2, everything else ungrouped.
+func groupFn(id BlockID) (string, int, bool) {
 	switch {
 	case id.RDD >= 10 && id.RDD < 20:
-		return "g1", true
+		return "g", 1, true
 	case id.RDD >= 20 && id.RDD < 30:
-		return "g2", true
+		return "g", 2, true
 	}
-	return "", false
+	return "", 0, false
 }
 
 func TestDAGPolicyEvictsZeroRefFirst(t *testing.T) {

@@ -59,10 +59,14 @@ func (e *Engine) ForceCheckpoint(r *rdd.RDD) {
 			e.deferCheckpoint(r)
 			return
 		}
-		px := e.newPlaneCtx(exec) // checkpoint IO runs on a background thread
-		px.immediate = true
-		data, err := px.materialize(r, p)
-		releasePlaneCtx(px)
+		// Checkpoint IO runs on a background thread: the partition
+		// materializes in an ordinary plane whose effects replay as a task
+		// join's do, outside any OOM window, so a refused cache put is a
+		// counted refusal and never fails the checkpoint.
+		be := &batchEntry{exec: exec, px: e.newPlaneCtx(exec)}
+		data, err := be.px.materialize(r, p)
+		e.replayEffects(be, false)
+		releasePlaneCtx(be.px)
 		if err == nil {
 			cpBytes := int64(float64(r.PartBytes[p]) * ratio)
 			err = e.store.WriteCheckpoint(r.ID, p, data, cpBytes)
@@ -125,18 +129,13 @@ func (e *Engine) drainDeferredCheckpoints() {
 // cache holder first, the namespace primary second, any live executor last.
 // ok is false when the cluster has no live executor at all.
 func (e *Engine) partitionHome(r *rdd.RDD, p int) (int, bool) {
-	for _, chain := range []*rdd.RDD{r} {
-		locs := e.filterAlive(e.cl.Locations(blockID(chain.ID, p)))
-		if len(locs) > 0 {
-			return locs[0], true
-		}
+	if locs := e.filterAlive(e.cl.Locations(blockID(r.ID, p))); len(locs) > 0 {
+		return locs[0], true
 	}
 	if ns := e.activeNamespace(r); ns != "" {
 		unit := p
-		if e.cfg.Features.Extendable && e.grp.Registered(ns) {
-			if g, err := e.grp.GroupOf(ns, p); err == nil {
-				unit = g.ID
-			}
+		if g, err := e.partitionGroup(ns, p); err == nil {
+			unit = g.ID
 		}
 		if primary, ok := e.loc.Primary(ns, unit); ok && !e.cl.Executor(primary).Dead() {
 			return primary, true

@@ -253,6 +253,49 @@ func TestForceCheckpointIdempotentAndUnmaterialized(t *testing.T) {
 	}
 }
 
+// TestForceCheckpointRefusedPutUnderOOMWindow pins that the driver's own
+// checkpoint materialization never OOM-fails: recomputing an evicted cached
+// partition on an executor with an armed ExecutorOOM window and no memory
+// left degrades its refused cache put to a counted refusal, and the
+// checkpoint is still written.
+func TestForceCheckpointRefusedPutUnderOOMWindow(t *testing.T) {
+	e := New(testConfig())
+	g := e.Graph()
+	src := g.Source("src", dataset(200, 4), true)
+	m := g.Map(src, "m", false, func(r record.Record) record.Record { return r })
+	m.CacheFlag = true
+	if _, _, err := e.Count(m); err != nil {
+		t.Fatal(err)
+	}
+	id := blockID(m.ID, 0)
+	for _, exec := range e.cl.Locations(id) {
+		e.cl.DropBlock(exec, id)
+	}
+	home, ok := e.partitionHome(m, 0)
+	if !ok {
+		t.Fatal("no live executor")
+	}
+	e.SetMemPressure(home, 0)
+	e.SetOOMWindow(home, true)
+	before := e.CacheStats()
+
+	e.ForceCheckpoint(m)
+
+	if !m.Checkpointed {
+		t.Fatal("checkpoint not written")
+	}
+	after := e.CacheStats()
+	if got := after.CacheRefusals - before.CacheRefusals; got != 1 {
+		t.Fatalf("cache refusals grew by %d, want 1", got)
+	}
+	if after.OOMTaskFailures != before.OOMTaskFailures {
+		t.Fatalf("OOM task failures %d -> %d, want unchanged", before.OOMTaskFailures, after.OOMTaskFailures)
+	}
+	if e.cl.CacheHas(home, id) {
+		t.Fatal("refused put left the block cached")
+	}
+}
+
 func TestGCMetricsPopulated(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cluster.MemoryPerExecutor = 1 << 20 // tiny: heavy pressure

@@ -140,14 +140,22 @@ func (e *Engine) unitOf(id cluster.BlockID) (ns string, unit int, ok bool) {
 	if !e.loc.Registered(ns) {
 		return "", 0, false
 	}
-	if e.cfg.Features.Extendable && e.grp.Registered(ns) {
-		g, err := e.grp.GroupOf(ns, id.Partition)
-		if err != nil {
-			return "", 0, false
-		}
-		return ns, g.ID, true
+	g, err := e.partitionGroup(ns, id.Partition)
+	if err != nil {
+		return "", 0, false
 	}
-	return ns, id.Partition, true
+	return ns, g.ID, true
+}
+
+// partitionGroup returns the collection unit holding partition p of ns: its
+// Group Tree group when extendable grouping covers ns, otherwise the
+// one-partition group {ID: p, Lo: p, Hi: p+1}. err reports a partition the
+// Group Tree cannot place.
+func (e *Engine) partitionGroup(ns string, p int) (group.Group, error) {
+	if e.cfg.Features.Extendable && e.grp.Registered(ns) {
+		return e.grp.GroupOf(ns, p)
+	}
+	return group.Group{ID: p, Lo: p, Hi: p + 1}, nil
 }
 
 // onEvictions de-replicates collection units whose last cached block on an
@@ -168,15 +176,13 @@ func (e *Engine) onEvictions(exec int, evicted []cluster.BlockID) {
 
 // unitPartitions expands a unit to its partition list.
 func (e *Engine) unitPartitions(ns string, unit int) []int {
-	if e.cfg.Features.Extendable && e.grp.Registered(ns) {
-		g, err := e.grp.GroupOf(ns, unit)
-		if err == nil && g.ID == unit {
-			parts := make([]int, 0, g.Width())
-			for p := g.Lo; p < g.Hi; p++ {
-				parts = append(parts, p)
-			}
-			return parts
-		}
+	g, err := e.partitionGroup(ns, unit)
+	if err != nil || g.ID != unit {
+		return []int{unit}
 	}
-	return []int{unit}
+	parts := make([]int, 0, g.Width())
+	for p := g.Lo; p < g.Hi; p++ {
+		parts = append(parts, p)
+	}
+	return parts
 }

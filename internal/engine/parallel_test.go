@@ -76,6 +76,10 @@ func parallelWorkloadTranscript(t *testing.T, par int, seed int64, faults fault.
 
 	run("warm-pb1", pb1, ActionCount)
 	run("cogroup", cg, ActionCollect)
+	// The checkpoint's materialization replays its plane effects through
+	// the join path; later planes then read rbk from the checkpoint.
+	e.ForceCheckpoint(rbk)
+	note("checkpoint rbk: %v", rbk.Checkpointed)
 	if faults.Empty() {
 		// Deterministic manual churn when no schedule injects any.
 		e.KillExecutor(1)

@@ -63,13 +63,11 @@ type deferredDrop struct {
 }
 
 // planeCtx carries one task's data-plane state: the cost accumulator plus
-// buffered side effects. In immediate mode (ForceCheckpoint's synchronous
-// materialization) every effect applies straight through instead.
+// buffered side effects.
 type planeCtx struct {
-	e         *Engine
-	exec      int
-	immediate bool
-	acc       costAcc
+	e    *Engine
+	exec int
+	acc  costAcc
 
 	// local overlays the executor cache with this task's own deferred puts,
 	// so a diamond-shaped narrow chain re-reading a partition it just cached
@@ -127,12 +125,9 @@ func releasePlaneCtx(px *planeCtx) {
 	planeCtxPool.Put(px)
 }
 
-// cacheGet reads a block from the task's executor cache. Deferred mode never
-// touches LRU order; the recency update replays at join.
+// cacheGet reads a block from the task's executor cache. It never touches
+// LRU order; the recency update replays at join.
 func (px *planeCtx) cacheGet(id cluster.BlockID) ([]record.Record, bool) {
-	if px.immediate {
-		return px.e.cl.CacheGet(px.exec, id)
-	}
 	if data, ok := px.local[id]; ok {
 		px.ops = append(px.ops, cacheOp{id: id})
 		return data, true
@@ -144,22 +139,9 @@ func (px *planeCtx) cacheGet(id cluster.BlockID) ([]record.Record, bool) {
 	return data, ok
 }
 
-// cachePut stores a block in the task's executor cache; deferred mode logs
-// the put (evictions and task wake-ups happen at join). Immediate mode is
-// the driver's own synchronous materialization, so a refused put degrades
-// to a counted refusal and never OOM-fails.
+// cachePut logs a block for the task's executor cache; the store, its
+// evictions and task wake-ups happen at join.
 func (px *planeCtx) cachePut(id cluster.BlockID, data []record.Record, bytes int64) {
-	if px.immediate {
-		evicted, st := px.e.cl.CachePutChecked(px.exec, id, data, bytes)
-		px.e.noteEvicted(evicted)
-		px.e.onEvictions(px.exec, evicted)
-		if st == cluster.PutStored {
-			px.e.wakeTasks(id)
-		} else {
-			px.e.countRefusal(st)
-		}
-		return
-	}
 	if px.local == nil {
 		px.local = make(map[cluster.BlockID][]record.Record)
 	}
@@ -169,10 +151,8 @@ func (px *planeCtx) cachePut(id cluster.BlockID, data []record.Record, bytes int
 
 // partBytesOf reads a recorded partition size through the overlay.
 func (px *planeCtx) partBytesOf(r *rdd.RDD, p int) int64 {
-	if !px.immediate {
-		if b, ok := px.partBytes[partKey{r, p}]; ok {
-			return b
-		}
+	if b, ok := px.partBytes[partKey{r, p}]; ok {
+		return b
 	}
 	if r.PartBytes != nil && p < len(r.PartBytes) {
 		return r.PartBytes[p]
@@ -182,13 +162,6 @@ func (px *planeCtx) partBytesOf(r *rdd.RDD, p int) int64 {
 
 // setPartBytes records a partition size, deferred through the overlay.
 func (px *planeCtx) setPartBytes(r *rdd.RDD, p int, bytes int64) {
-	if px.immediate {
-		if r.PartBytes == nil {
-			r.PartBytes = make([]int64, r.Parts)
-		}
-		r.PartBytes[p] = bytes
-		return
-	}
 	if px.partBytes == nil {
 		px.partBytes = make(map[partKey]int64)
 	}
@@ -197,12 +170,6 @@ func (px *planeCtx) setPartBytes(r *rdd.RDD, p int, bytes int64) {
 
 // noteTransformTime accumulates the per-RDD max transform time.
 func (px *planeCtx) noteTransformTime(r *rdd.RDD, ct time.Duration) {
-	if px.immediate {
-		if ct > r.MaxTransformTime {
-			r.MaxTransformTime = ct
-		}
-		return
-	}
 	if px.maxTT == nil {
 		px.maxTT = make(map[*rdd.RDD]time.Duration)
 	}
@@ -213,18 +180,10 @@ func (px *planeCtx) noteTransformTime(r *rdd.RDD, ct time.Duration) {
 
 // cacheHit / cacheMiss record cache-stat deltas, deferred to the join.
 func (px *planeCtx) cacheHit() {
-	if px.immediate {
-		px.e.stats.CacheHits++
-		return
-	}
 	px.hits++
 }
 
 func (px *planeCtx) cacheMiss() {
-	if px.immediate {
-		px.e.stats.CacheMisses++
-		return
-	}
 	px.misses++
 }
 
@@ -232,25 +191,11 @@ func (px *planeCtx) cacheMiss() {
 // previously dropped — the recompute penalty the DAG-aware policy exists to
 // reduce.
 func (px *planeCtx) evictedRecompute() {
-	if px.immediate {
-		px.e.cacheUpdate(func(m *cacheMetrics) { m.RecomputesAfterEviction++ })
-		return
-	}
 	px.recomputes++
 }
 
 // dropCorrupt evicts a corrupt persisted block, deferred to the join.
 func (px *planeCtx) dropCorrupt(checkpoint bool, a, b int, detail string) {
-	if px.immediate {
-		if checkpoint {
-			px.e.store.DropCheckpoint(a, b)
-		} else {
-			px.e.store.DropMapOutput(a, b)
-		}
-		px.e.recUpdate(func(m *recMetrics) { m.CorruptBlocks++ })
-		px.e.trace("block-corrupt", -1, -1, -1, -1, detail)
-		return
-	}
 	px.drops = append(px.drops, deferredDrop{checkpoint: checkpoint, a: a, b: b, detail: detail})
 }
 
@@ -383,16 +328,45 @@ func (e *Engine) joinTask(be *batchEntry) {
 		panic(be.panicked)
 	}
 	t, px := be.t, be.px
-	be.px = nil
-	defer releasePlaneCtx(px)
+	defer func() {
+		be.px = nil
+		releasePlaneCtx(px)
+	}()
 	if t.aborted || t.lost {
 		// Cancelled between dispatch and join; inline execution would never
 		// have started, so apply nothing.
 		e.releaseSlot(t)
 		return
 	}
-	oomWindow := e.oomArmed[px.exec]
-	oomFailed := false
+	oomFailed := e.replayEffects(be, e.oomArmed[px.exec])
+	if px.err != nil {
+		t.failErr = px.err
+	} else if oomFailed {
+		t.failErr = fmt.Errorf("%w: executor %d over capacity under mem pressure", ErrOOM, px.exec)
+	}
+	dur := px.dur
+	// A straggling executor stretches the modeled duration; speculation keys
+	// off the resulting expectedEnd.
+	if f := e.cl.Executor(px.exec).Slowdown(); f > 1 {
+		dur = time.Duration(float64(dur) * f)
+	}
+	t.expectedEnd = e.loop.Now() + dur
+	e.loop.After(dur, func() { e.taskDone(t) })
+}
+
+// replayEffects applies the buffered effects of be's plane on the control
+// plane, in the plane's program order: LRU touches, cache puts with their
+// evictions and wake-ups, corrupt-block drops, partition sizes, transform
+// times and cache counters. Task joins and ForceCheckpoint's materialization
+// (be.t nil) share it. Inside an armed ExecutorOOM window (oomWindow) the
+// first refused put fails the plane and later puts are skipped; the result
+// reports that failure.
+func (e *Engine) replayEffects(be *batchEntry, oomWindow bool) (oomFailed bool) {
+	px := be.px
+	job, stage, tid := -1, -1, -1
+	if t := be.t; t != nil {
+		job, stage, tid = t.sr.job.id, t.sr.st.ID, t.id
+	}
 	for _, op := range px.ops {
 		if !op.put {
 			e.cl.CacheGet(px.exec, op.id) // LRU recency replay
@@ -418,12 +392,12 @@ func (e *Engine) joinTask(be *batchEntry) {
 		if oomWindow {
 			oomFailed = true
 			e.cacheUpdate(func(m *cacheMetrics) { m.OOMTaskFailures++ })
-			e.trace("task-oom", t.sr.job.id, t.sr.st.ID, t.id, px.exec,
+			e.trace("task-oom", job, stage, tid, px.exec,
 				fmt.Sprintf("block=%v status=%v", op.id, st))
 			continue
 		}
 		e.countRefusal(st)
-		e.trace("cache-refuse", t.sr.job.id, t.sr.st.ID, t.id, px.exec,
+		e.trace("cache-refuse", job, stage, tid, px.exec,
 			fmt.Sprintf("block=%v status=%v", op.id, st))
 	}
 	for _, d := range px.drops {
@@ -454,17 +428,5 @@ func (e *Engine) joinTask(be *batchEntry) {
 		n := int(px.recomputes)
 		e.cacheUpdate(func(m *cacheMetrics) { m.RecomputesAfterEviction += n })
 	}
-	if px.err != nil {
-		t.failErr = px.err
-	} else if oomFailed {
-		t.failErr = fmt.Errorf("%w: executor %d over capacity under mem pressure", ErrOOM, px.exec)
-	}
-	dur := px.dur
-	// A straggling executor stretches the modeled duration; speculation keys
-	// off the resulting expectedEnd.
-	if f := e.cl.Executor(px.exec).Slowdown(); f > 1 {
-		dur = time.Duration(float64(dur) * f)
-	}
-	t.expectedEnd = e.loop.Now() + dur
-	e.loop.After(dur, func() { e.taskDone(t) })
+	return oomFailed
 }

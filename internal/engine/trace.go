@@ -19,7 +19,21 @@ import (
 //	task-speculate-win, task-speculate-lose, stage-resubmit,
 //	executor-blacklist, executor-unblacklist, executor-straggle,
 //	fault-block-loss, recovery-complete, job-fail, checkpoint-defer,
-//	checkpoint-abort
+//	checkpoint-abort, stale-result
+//
+// Failure-detector, network and driver kinds:
+//
+//	executor-suspect, executor-unsuspect, executor-dead,
+//	executor-new-incarnation, executor-rejoin, executor-partition,
+//	executor-heal, net-delay, driver-crash, driver-restart,
+//	driver-reconcile, job-resume
+//
+// Cache, memory and storage-integrity kinds:
+//
+//	cache-refuse (a graceful cache refusal at a task join or in
+//	ForceCheckpoint's materialization; Job/Stage/Task are -1 for the
+//	latter), task-oom, executor-mem-pressure, executor-oom-window,
+//	block-corrupt, fault-block-corrupt
 type TraceEvent struct {
 	At   time.Duration
 	Kind string

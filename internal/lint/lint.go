@@ -11,10 +11,10 @@
 // On top of the per-package analyzers, three interprocedural analyzers run
 // over a module-wide static call graph (see callgraph.go and DESIGN.md
 // section 16): planetaint flags data-plane code transitively reaching a
-// control-plane mutation outside the px.immediate guard, hotalloc flags
-// allocation-inducing constructs reachable from //starklint:hotpath
-// kernels, and errwrap flags error wrapping that severs errors.Is/Unwrap
-// reachability of the typed sentinels.
+// control-plane mutation, hotalloc flags allocation-inducing constructs
+// reachable from //starklint:hotpath kernels, and errwrap flags error
+// wrapping that severs errors.Is/Unwrap reachability of the typed
+// sentinels.
 //
 // The suite is built on the standard library only (go/parser + go/types,
 // with export data served from the build cache via `go list -export`), so

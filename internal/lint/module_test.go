@@ -63,12 +63,14 @@ func checkModuleSource(t *testing.T, path, src string) []lint.Diagnostic {
 	return lint.RunModule([]*lint.Package{pkg}, lint.DefaultConfig(), lint.ModuleAnalyzers())
 }
 
-// TestSeededGuardDeletionInEngine pins the acceptance criterion: deleting
-// the px.immediate guard from a buffered side-effect site in
-// stark/internal/engine must fail the lint under the default policy, and
-// the guarded twin must pass with zero findings and zero suppressions.
-func TestSeededGuardDeletionInEngine(t *testing.T) {
-	const unguarded = `package engine
+// TestSeededPlaneMutationInEngine pins plane isolation in
+// stark/internal/engine under the default policy: a planeCtx method that
+// applies a cache put straight to the cluster must fail the lint, and the
+// buffered twin — the put logged in the overlay and replayed on the event
+// loop through the batch entry — must pass with zero findings and zero
+// suppressions.
+func TestSeededPlaneMutationInEngine(t *testing.T) {
+	const direct = `package engine
 
 type Cluster struct{ recency []int }
 
@@ -77,22 +79,22 @@ func (c *Cluster) CachePut(id int) { c.recency = append(c.recency, id) }
 type Engine struct{ cl *Cluster }
 
 type planeCtx struct {
-	e         *Engine
-	immediate bool
-	ops       []int
+	e   *Engine
+	ops []int
 }
 
-// cachePut lost its px.immediate guard: the raw mutator call must flag.
+// cachePut mutates the cluster from the data plane: the raw mutator call
+// must flag.
 func (px *planeCtx) cachePut(id int) {
 	px.e.cl.CachePut(id)
 }
 `
-	diags := checkModuleSource(t, "stark/internal/engine", unguarded)
+	diags := checkModuleSource(t, "stark/internal/engine", direct)
 	if len(diags) != 1 || diags[0].Analyzer != "planetaint" {
-		t.Fatalf("want exactly one planetaint finding for the deleted guard, got %v", diags)
+		t.Fatalf("want exactly one planetaint finding for the direct mutation, got %v", diags)
 	}
 
-	const guarded = `package engine
+	const buffered = `package engine
 
 type Cluster struct{ recency []int }
 
@@ -101,22 +103,26 @@ func (c *Cluster) CachePut(id int) { c.recency = append(c.recency, id) }
 type Engine struct{ cl *Cluster }
 
 type planeCtx struct {
-	e         *Engine
-	immediate bool
-	ops       []int
+	e   *Engine
+	ops []int
 }
 
-// cachePut buffers in parallel and applies synchronously under the guard.
+type batchEntry struct{ px *planeCtx }
+
+// cachePut logs the put for the join.
 func (px *planeCtx) cachePut(id int) {
-	if px.immediate {
-		px.e.cl.CachePut(id)
-		return
-	}
 	px.ops = append(px.ops, id)
 }
+
+// replayEffects applies the logged puts on the event loop.
+func (e *Engine) replayEffects(be *batchEntry) {
+	for _, id := range be.px.ops {
+		e.cl.CachePut(id)
+	}
+}
 `
-	if diags := checkModuleSource(t, "stark/internal/engine", guarded); len(diags) != 0 {
-		t.Fatalf("guarded buffered side effect must lint clean, got %v", diags)
+	if diags := checkModuleSource(t, "stark/internal/engine", buffered); len(diags) != 0 {
+		t.Fatalf("buffered side effect replayed through the batch entry must lint clean, got %v", diags)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package planetaint models the two-clock engine shape for the
 // interprocedural plane-isolation fixture: an Engine holding cluster,
-// store, and stats state, and a planeCtx overlay whose methods run on
-// worker goroutines unless guarded by px.immediate. Under the fixture's
-// permissive policy every named type here counts as control-plane state
-// except the plane-local overlay types (planeCtx, task).
+// store, and stats state, a planeCtx overlay whose methods run on worker
+// goroutines and buffer their effects, and the batchEntry through which the
+// event loop replays them. Under the fixture's permissive policy every named
+// type here counts as control-plane state except the plane-local overlay
+// types (planeCtx, batchEntry, task).
 package planetaint
 
 type Stats struct{ CacheHits, CacheMisses int64 }
@@ -54,8 +55,9 @@ func noteHit(e *Engine) { e.stats.CacheHits++ }
 type task struct{ count int }
 
 type planeCtx struct {
-	e         *Engine
-	immediate bool
-	hits      int64
-	drops     []int
+	e    *Engine
+	hits int64
+	ops  []int
 }
+
+type batchEntry struct{ px *planeCtx }

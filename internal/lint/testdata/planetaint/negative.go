@@ -1,14 +1,9 @@
 package planetaint
 
-// cachePut buffers when parallel and applies synchronously only under the
-// immediate guard — the sanctioned pattern; nothing flags.
+// cachePut buffers the put in the overlay for the join to replay — the
+// sanctioned pattern; nothing flags.
 func (px *planeCtx) cachePut(id int) {
-	if px.immediate {
-		px.e.cl.CachePut(id)
-		px.e.stats.CacheHits++
-		return
-	}
-	px.drops = append(px.drops, id)
+	px.ops = append(px.ops, id)
 }
 
 // peek performs pure reads through control-plane state: reads never flag.
@@ -34,4 +29,14 @@ func (e *Engine) drainBatch(id int) {
 	e.stats.CacheMisses++
 	e.cl.CachePut(id)
 	noteHit(e)
+}
+
+// replay applies a plane's buffered effects on the event loop. It takes the
+// batch entry, not the planeCtx, so it is not a data-plane root and its
+// control-plane stores are legal.
+func (e *Engine) replay(be *batchEntry) {
+	for _, id := range be.px.ops {
+		e.cl.CachePut(id)
+	}
+	e.stats.CacheHits += be.px.hits
 }

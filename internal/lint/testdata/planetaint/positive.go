@@ -21,8 +21,15 @@ func (px *planeCtx) reduceInput(id int) []int {
 	return px.e.store.ReadReduce(id) // want planetaint
 }
 
-// putUnguarded models deleting the px.immediate guard from a buffered
-// side-effect helper: the now-raw mutator call must flag.
-func (px *planeCtx) putUnguarded(id int) {
+// putDirect applies a cache put straight to the cluster instead of
+// buffering it in the overlay: the raw mutator call must flag.
+func (px *planeCtx) putDirect(id int) {
 	px.e.cl.CachePut(id) // want planetaint
+}
+
+// replayFromCtx is a replay helper that takes the planeCtx itself: any
+// function threading a *planeCtx is a data-plane root, so its stores flag
+// even if only the event loop calls it. Pass the batchEntry instead.
+func (e *Engine) replayFromCtx(px *planeCtx) {
+	e.stats.CacheHits += px.hits // want planetaint
 }
